@@ -406,6 +406,7 @@ func BenchmarkCELFSelect(b *testing.B) {
 		g := benchProfile(b, "web-Google", 10, model)
 		for _, sel := range []imm.SelectionKind{imm.SelectScan, imm.SelectCELF} {
 			b.Run(fmt.Sprintf("%s/%s", model, sel), func(b *testing.B) {
+				b.ReportAllocs()
 				var modeled float64
 				for i := 0; i < b.N; i++ {
 					opt := benchOpts(imm.Efficient, model, 64)

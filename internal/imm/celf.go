@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/counter"
@@ -36,7 +37,7 @@ func postPrefix(post []int32, lim int32) int {
 // (gain desc, vertex asc) — counter.GainLess — which is exactly the
 // tie-break of the eager argmax. Gains are integers, shard layout is
 // fixed (poolShards does not depend on the worker count), and the
-// parallel passes only partition read-only postings, so the selected
+// parallel passes only partition the read-only index, so the selected
 // seed sequence is byte-identical to SelectOnSetsScan at any worker
 // count. The tests pin this across workers ∈ {1,2,4,8} and both pool
 // representations.
@@ -81,21 +82,32 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 	ops := make([]int64, w)
 	var serial int64 // critical-path work of the sequential heap machinery
 
+	// Recompute and retire run inline over the shards: each touches one
+	// row of words or a few postings per shard, far below the cost of a
+	// fork/join. Their modeled work is still charged to the worker the
+	// static shard partition would have run the shard on.
+	var shardWorker [poolShards]int
+	sw := min(w, poolShards)
+	for wk := 0; wk < sw; wk++ {
+		for s := wk * poolShards / sw; s < (wk+1)*poolShards/sw; s++ {
+			shardWorker[s] = wk
+		}
+	}
+
 	// Bring the inverted index up to date with the pool (no-op unless
 	// the pool grew since the last selection) and clear the coverage
 	// scratch.
 	p.ensureIndexed(w, ops)
-	sched.Static(w, poolShards, func(wk, s0, s1 int) {
-		for s := s0; s < s1; s++ {
-			p.shards[s].covered.Reset()
-			ops[wk] += int64(p.shards[s].indexed)/64 + 1
-		}
-	})
+	for s := range p.shards {
+		p.shards[s].covered.Reset()
+		ops[shardWorker[s]] += int64(p.shards[s].indexed)/64 + 1
+	}
 
 	// Initial gains: the fused base counter when it is fresh (a
-	// streaming copy), else a posting-length sum — both equal each
-	// vertex's occurrence count over the whole pool. Both branches
-	// overwrite every slot, so the scratch needs no clearing.
+	// streaming copy), else a per-shard count — row popcount or posting
+	// length, prefix-limited on a truncated view — both equal each
+	// vertex's occurrence count over the view. Both branches overwrite
+	// every slot, so the scratch needs no clearing.
 	if cap(p.gainScratch) < n {
 		p.gainScratch = make([]int64, n)
 	}
@@ -109,12 +121,20 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 	} else {
 		sched.Static(w, n, func(wk, lo, hi int) {
 			for v := lo; v < hi; v++ {
+				d := p.rank(int32(v))
 				var g int64
 				for s := range p.shards {
-					if full {
-						g += int64(len(p.shards[s].postings(int32(v))))
-					} else {
-						g += int64(postPrefix(p.shards[s].postings(int32(v)), localLim[s]))
+					sh := &p.shards[s]
+					row := sh.rowOf(d)
+					switch {
+					case row == nil && full:
+						g += int64(len(sh.postings(int32(v))))
+					case row == nil:
+						g += int64(postPrefix(sh.postings(int32(v)), localLim[s]))
+					case full:
+						g += int64(sh.rowCnt[sh.rowAt[d]])
+					default:
+						g += rowPrefix(row, int(localLim[s]))
 					}
 				}
 				gains[v] = g
@@ -150,7 +170,6 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 	}
 	version := p.versionScratch[:n]
 	clear(version)
-	shardWork := make([]int64, poolShards)
 	seeds = make([]int32, 0, k)
 	var coveredCount int64
 
@@ -180,15 +199,21 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 				chosen = best.Vertex
 				break
 			}
-			// Stale: recompute the true gain by counting uncovered
-			// postings, shard-parallel with a deterministic reduction.
+			// Stale: recompute the true gain by counting the uncovered
+			// entries of the candidate's row or postings in every shard.
 			v := best.Vertex
-			sched.Static(w, poolShards, func(wk, s0, s1 int) {
-				for s := s0; s < s1; s++ {
-					sh := &p.shards[s]
-					var g, walked int64
+			d := p.rank(v)
+			var g int64
+			for s := range p.shards {
+				sh := &p.shards[s]
+				lim := localLim[s]
+				var walked int64
+				if row := sh.rowOf(d); row != nil {
+					g += rowUncovered(row, sh.covered.Words(), int(lim), false)
+					walked = int64(rowWords(int(lim)))
+				} else {
 					for _, j := range sh.postings(v) {
-						if j >= localLim[s] {
+						if j >= lim {
 							break // beyond the view's horizon
 						}
 						walked++
@@ -196,13 +221,8 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 							g++
 						}
 					}
-					shardWork[s] = g
-					ops[wk] += walked + 1
 				}
-			})
-			var g int64
-			for s := range shardWork {
-				g += shardWork[s]
+				ops[shardWorker[s]] += walked + 1
 			}
 			version[v] = round
 			heaps[bestR].UpdateTop(g)
@@ -213,32 +233,58 @@ func (p *shardedPool) selectCELFLimited(base *counter.Counter, workers, k int, l
 		}
 		seeds = append(seeds, chosen)
 
-		// Retire the seed's coverage: walk its postings per shard and
-		// mark the newly covered entries. This is the whole counter
-		// maintenance — no decrement/rebuild pass over set members.
-		sched.Static(w, poolShards, func(wk, s0, s1 int) {
-			for s := s0; s < s1; s++ {
-				sh := &p.shards[s]
-				var newly, walked int64
+		// Retire the seed's coverage: OR its row (or mark its postings)
+		// into each shard's coverage and count the newly covered entries.
+		// This is the whole counter maintenance — no decrement/rebuild
+		// pass over set members.
+		d := p.rank(chosen)
+		for s := range p.shards {
+			sh := &p.shards[s]
+			lim := localLim[s]
+			var walked int64
+			if row := sh.rowOf(d); row != nil {
+				coveredCount += rowUncovered(row, sh.covered.Words(), int(lim), true)
+				walked = int64(rowWords(int(lim)))
+			} else {
 				for _, j := range sh.postings(chosen) {
-					if j >= localLim[s] {
+					if j >= lim {
 						break
 					}
 					walked++
-					if !sh.covered.Test(int(j)) {
-						sh.covered.Set(int(j))
-						newly++
+					if !sh.covered.TestAndSet(int(j)) {
+						coveredCount++
 					}
 				}
-				shardWork[s] = newly
-				ops[wk] += walked + 1
 			}
-		})
-		for s := range shardWork {
-			coveredCount += shardWork[s]
+			ops[shardWorker[s]] += walked + 1
 		}
 	}
 	return seeds, float64(coveredCount) / float64(nsets), float64(maxOf(ops)) + float64(serial)
+}
+
+// rowUncovered counts the bits of row below lim that cov lacks — the
+// word-parallel form of a posting walk, 64 entries per AND-NOT and
+// popcount. With retire set it also ORs those bits into cov. Bits of row
+// at or beyond lim (entries outside a truncated view) are masked off.
+func rowUncovered(row, cov []uint64, lim int, retire bool) int64 {
+	nw := lim >> 6
+	row, cov = row[:rowWords(lim)], cov[:rowWords(lim)]
+	var g int
+	for i := 0; i < nw; i++ {
+		x := row[i] &^ cov[i]
+		g += bits.OnesCount64(x)
+		if retire {
+			cov[i] |= x
+		}
+	}
+	if r := uint(lim & 63); r != 0 {
+		x := row[nw] &^ cov[nw] & (1<<r - 1)
+		g += bits.OnesCount64(x)
+		if retire {
+			cov[nw] |= x
+		}
+	}
+	return int64(g)
 }
 
 // Selector is an incremental Find_Most_Influential_Set front-end over

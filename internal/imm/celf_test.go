@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/counter"
 	"repro/internal/graph"
+	"repro/internal/rrr"
 )
 
 // generatePool builds a pool of nsets through the Efficient engine's
@@ -175,9 +176,42 @@ func TestScanModeSkipsIndex(t *testing.T) {
 	if resC.Pool.IndexBytes <= 0 {
 		t.Fatalf("CELF mode reported no index: %+v", resC.Pool)
 	}
-	if resC.Pool.IndexBytes != resC.Pool.RawBytes {
-		t.Fatalf("index bytes %d != 4 bytes/member %d", resC.Pool.IndexBytes, resC.Pool.RawBytes)
+	if want := hybridIndexBytes(generatePool(t, g, celf, resC.Theta).p.flatten(), g.N); resC.Pool.IndexBytes != want {
+		t.Fatalf("index bytes %d != hybrid layout %d", resC.Pool.IndexBytes, want)
 	}
+	if resC.Pool.IndexBytes > resC.Pool.RawBytes {
+		t.Fatalf("index bytes %d above 4 bytes/member %d", resC.Pool.IndexBytes, resC.Pool.RawBytes)
+	}
+}
+
+// hybridIndexBytes is the index footprint of sets striped over the pool
+// shards, computed from the sets alone. Per shard, the hybrid layout
+// stores each vertex as a bit row over the shard's entries (8 bytes per
+// 64 entries) when that is no larger than its postings (4 bytes each),
+// else as the postings; a shard uses that layout only when it at most
+// halves the shard's postings-only cost.
+func hybridIndexBytes(sets []rrr.Set, n int32) int64 {
+	var total int64
+	for s := 0; s < poolShards; s++ {
+		counts := make([]int64, n)
+		var entries int64
+		for i := s; i < len(sets); i += poolShards {
+			sets[i].ForEach(func(v int32) { counts[v]++ })
+			entries++
+		}
+		rowBytes := 8 * ((entries + 63) / 64)
+		var hybrid, postings int64
+		for _, c := range counts {
+			hybrid += min(4*c, rowBytes)
+			postings += 4 * c
+		}
+		if 2*hybrid <= postings {
+			total += hybrid
+		} else {
+			total += postings
+		}
+	}
+	return total
 }
 
 // TestParsePoolAndSelection covers the new option parsers.

@@ -213,6 +213,7 @@ func (p *shardedPool) indexNewSets(workers int) int64 {
 		}(w)
 	}
 	wg.Wait()
+	p.linkRows()
 	return maxOf(ops)
 }
 

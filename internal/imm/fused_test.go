@@ -1,6 +1,7 @@
 package imm
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -86,9 +87,9 @@ func compareKernels(t *testing.T, model graph.Model, workers int, seed uint64, c
 		t.Fatalf("model=%v w=%d: pool footprint diverged: %+v vs %+v", model, workers, fused.Pool, mat.Pool)
 	}
 
-	// Inverted-index postings must be bit-identical shard for shard:
-	// the fused Stage-B merge and the lazy ensureIndexed build must
-	// arrive at the same CSR arrays.
+	// Inverted-index postings and rows must be bit-identical shard for
+	// shard: the fused Stage-B merge and the lazy ensureIndexed build
+	// must arrive at the same CSR arrays and bit rows.
 	for s := range fe.p.shards {
 		fs, ms := &fe.p.shards[s], &me.p.shards[s]
 		if fs.indexed != ms.indexed || fs.postCount != ms.postCount {
@@ -97,6 +98,9 @@ func compareKernels(t *testing.T, model graph.Model, workers int, seed uint64, c
 		}
 		if len(fs.postIdx) != len(ms.postIdx) || len(fs.postData) != len(ms.postData) {
 			t.Fatalf("model=%v w=%d shard %d: CSR shapes diverged", model, workers, s)
+		}
+		if !reflect.DeepEqual(fs.rowVerts, ms.rowVerts) || !reflect.DeepEqual(fs.rows, ms.rows) {
+			t.Fatalf("model=%v w=%d shard %d: dense rows diverged", model, workers, s)
 		}
 		for v := range fs.postIdx {
 			if fs.postIdx[v] != ms.postIdx[v] {

@@ -135,12 +135,16 @@ func GraphChecksum(g *graph.Graph) uint64 {
 // yet indexed) entries are indexed first, so the frozen index always
 // covers the whole shard — the same invariant selection maintains.
 //
+// The index is written as the full postings CSR, row vertices
+// included: the snapshot format is independent of the in-memory row
+// layout, and a shard's rows are expanded back into postings here.
+//
 // The returned state's ListData/CompData/BitmapData blobs are freshly
 // owned copies (list sets may alias arena blocks that die with the
-// engine), but PostIdx/PostData alias the live index arrays: the state
-// is valid only until the engine serves again. Callers that persist the
-// state (the .impool writer) consume it before releasing the engine's
-// query lock.
+// engine), but PostIdx/PostData of a shard without rows alias the live
+// index arrays: the state is valid only until the engine serves again.
+// Callers that persist the state (the .impool writer) consume it before
+// releasing the engine's query lock.
 func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 	e := w.inner
 	p := e.p
@@ -157,11 +161,19 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 		Count:        p.count,
 		TotalMembers: p.totalMembers,
 	}
+	pending := false
 	for s := range p.shards {
 		sh := &p.shards[s]
 		if sh.indexed > 0 && sh.indexed < len(sh.sets) {
 			sh.extend(p.n)
+			pending = true
 		}
+	}
+	if pending {
+		p.linkRows()
+	}
+	for s := range p.shards {
+		sh := &p.shards[s]
 		out := &st.Shards[s]
 		out.Kinds = make([]uint8, len(sh.sets))
 		out.Sizes = make([]int32, len(sh.sets))
@@ -187,8 +199,7 @@ func (w *WarmEngine) Freeze(epoch int64) (*PoolState, error) {
 			}
 		}
 		if sh.indexed == len(sh.sets) && sh.postIdx != nil {
-			out.PostIdx = sh.postIdx
-			out.PostData = sh.postData
+			out.PostIdx, out.PostData = sh.fullPostings(p.n)
 		}
 	}
 	return st, nil
@@ -281,12 +292,13 @@ func ThawWarmEngine(g *graph.Graph, opt Options, st *PoolState) (*WarmEngine, er
 			if len(in.PostIdx) != int(st.N)+1 {
 				return nil, fmt.Errorf("%w: shard %d index has %d offsets, want %d", ErrPoolIncompatible, s, len(in.PostIdx), int(st.N)+1)
 			}
-			sh.postIdx = in.PostIdx
-			sh.postData = in.PostData
-			sh.postCount = int64(len(in.PostData))
-			sh.indexed = len(sh.sets)
+			// The postings stay aliased; only rows are built on the heap.
+			if err := sh.adoptPostings(st.N, in.PostIdx, in.PostData); err != nil {
+				return nil, fmt.Errorf("shard %d: %w", s, err)
+			}
 		}
 	}
+	p.linkRows()
 	if members != st.TotalMembers {
 		return nil, fmt.Errorf("%w: member sum %d vs frozen total %d", ErrPoolIncompatible, members, st.TotalMembers)
 	}

@@ -2,6 +2,7 @@ package imm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/counter"
@@ -165,8 +166,9 @@ func (e *efficientEngine) repair(ng *graph.Graph, rep *graph.DeltaReport) Repair
 
 // invalidSlots returns, in ascending order, the global ids of pool
 // slots whose sets intersect the dirty vertices. Indexed entries are
-// found by walking the inverted index's postings; the un-indexed tail
-// (scan-mode pools never index) falls back to membership probes.
+// found by walking the inverted index — a dirty vertex's row bits or
+// its postings; the un-indexed tail (scan-mode pools never index) falls
+// back to membership probes.
 func (e *efficientEngine) invalidSlots(dirty []int32) []int64 {
 	p := e.p
 	marked := bitset.New(int(p.count))
@@ -174,6 +176,15 @@ func (e *efficientEngine) invalidSlots(dirty []int32) []int64 {
 		sh := &p.shards[s]
 		if sh.postIdx != nil {
 			for _, v := range dirty {
+				if row := sh.rowOf(p.rank(v)); row != nil {
+					for wi, w := range row {
+						for w != 0 {
+							marked.Set((wi*64+bits.TrailingZeros64(w))*poolShards + s)
+							w &= w - 1
+						}
+					}
+					continue
+				}
 				for _, j := range sh.postings(v) {
 					marked.Set(int(j)*poolShards + s)
 				}
@@ -224,13 +235,11 @@ func (e *efficientEngine) rebuildTouchedIndexes(invalid []int64) {
 	sched.Static(workers, len(rebuild), func(w, s0, s1 int) {
 		for k := s0; k < s1; k++ {
 			sh := &e.p.shards[rebuild[k]]
-			sh.postIdx, sh.postData = nil, nil
-			sh.postCount = 0
-			sh.indexed = 0
-			sh.covered = nil
+			*sh = poolShard{sets: sh.sets}
 			// extend re-indexes every resident set; selection kept the
 			// pre-repair horizon at len(sets), so coverage is unchanged.
 			sh.extend(e.p.n)
 		}
 	})
+	e.p.linkRows()
 }

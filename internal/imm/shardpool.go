@@ -1,6 +1,10 @@
 package imm
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+
 	"repro/internal/bitset"
 	"repro/internal/rrr"
 	"repro/internal/sched"
@@ -56,24 +60,68 @@ func (f PoolFootprint) CompressionRatio() float64 {
 type poolShard struct {
 	sets []rrr.Set
 
-	// Inverted index over sets[:indexed] in CSR layout: the local entry
-	// ids whose set contains v are postData[postIdx[v]:postIdx[v+1]], in
-	// ascending order. One flat payload array per shard replaces the
-	// per-vertex posting slices the pool used to keep, so index growth
-	// costs two allocations per shard per extension instead of one per
-	// touched vertex, and posting walks stream a contiguous array. Once
-	// built, selection works entirely on postings and never touches (or,
-	// for compressed sets, decodes) a set representation again.
+	// Inverted index over sets[:indexed], adaptive per vertex like the
+	// sets themselves (HBMax's dense-row layout). A vertex whose postings
+	// fill at least 1/32 of the indexed entries (rowMin) keeps a bit row
+	// over the entries instead — provided the shard's rows pay for
+	// themselves (rowsPay) — and selection then retires and recounts 64
+	// entries per AND-NOT and popcount. Every other vertex keeps a sparse
+	// CSR segment: its local entry ids are postData[postIdx[v]:postIdx[v+1]],
+	// ascending — the invariant the truncated-view binary search
+	// (postPrefix) relies on. The layout is reclassified from the merged
+	// counts on every extension, so it is a pure function of the indexed
+	// sets, however the pool got them.
+	//
+	// A thawed shard aliases a snapshot's full postings (row vertices
+	// included) and holds heap rows beside them; rows always take
+	// precedence, so the extra postings are never read.
 	postIdx  []int32 // len n+1 once built
 	postData []int32
-	covered  *bitset.Bitset // selection scratch over entries, reset per call
-	indexed  int
+	rowVerts []int32  // ascending vertices that hold a bit row
+	rowCnt   []int32  // set bits per row
+	rows     []uint64 // len(rowVerts) rows of rowWords(indexed) words each
+	// rowAt maps a pool-level row rank (shardedPool.rowRank) to an index
+	// into rowVerts, or -1 when the vertex is sparse in this shard.
+	rowAt   []int32
+	covered *bitset.Bitset // selection scratch over entries, reset per call
+	indexed int
 
-	postCount int64 // total postings (one per member)
+	postCount  int64 // total postings (one per member), rows included
+	indexBytes int64 // resident index payload: 4 B per posting, 8 B per row word
 }
 
+// rowWords is the length of a bit row over entries entries.
+func rowWords(entries int) int { return (entries + 63) / 64 }
+
+// rowMin is the fewest postings that make a vertex a bit row among
+// entries indexed entries: 1/32 of the entries, rounded up to whole
+// words, so a row (8 bytes per 64 entries) is never larger than the
+// 4-byte postings it replaces. Nothing qualifies in an empty shard.
+func rowMin(entries int) int32 {
+	if entries == 0 {
+		return math.MaxInt32
+	}
+	return int32(2 * rowWords(entries))
+}
+
+// rowSaving is the bytes a row saves over c >= rowMin(entries) postings.
+func rowSaving(c int32, entries int) int64 {
+	return 4*int64(c) - 8*int64(rowWords(entries))
+}
+
+// rowsPay reports whether a shard stores its dense vertices as rows at
+// all, given the bytes the rows would save and the shard's posting
+// count: only when they at least halve its 4 B/posting index. A shard
+// below that keeps postings only. A few hub rows save little memory, yet a shard with rows has to
+// be expanded back into postings for every snapshot Freeze writes —
+// a transient copy of the shard's index — while a postings-only shard is
+// written in place.
+func rowsPay(saved, postings int64) bool { return saved >= 2*postings }
+
 // postings returns the local entry ids of sets[:indexed] containing v,
-// ascending. Nil until the index is first built.
+// ascending — for a sparse vertex; a row vertex's postings are empty
+// (or, on a thawed shard, present but shadowed by its row). Nil until
+// the index is first built.
 func (s *poolShard) postings(v int32) []int32 {
 	if s.postIdx == nil {
 		return nil
@@ -81,16 +129,38 @@ func (s *poolShard) postings(v int32) []int32 {
 	return s.postData[s.postIdx[v]:s.postIdx[v+1]]
 }
 
+// rowOf returns the bit row of the vertex with pool-level row rank d,
+// or nil when that vertex is sparse in this shard (or d < 0).
+func (s *poolShard) rowOf(d int32) []uint64 {
+	if d < 0 {
+		return nil
+	}
+	r := int(s.rowAt[d])
+	if r < 0 {
+		return nil
+	}
+	return s.row(r)
+}
+
+// row returns the bit row of rowVerts[r].
+func (s *poolShard) row(r int) []uint64 {
+	w := rowWords(s.indexed)
+	return s.rows[r*w : (r+1)*w : (r+1)*w]
+}
+
 // extend indexes entries [indexed, len(sets)) and returns the member
 // count absorbed — the modeled work of the pass (a decode step and a
-// posting append per member). The new postings are merged into the CSR
-// layout by counting sort: one pass counts per-vertex additions, a
-// prefix sum over old+new segment lengths sizes the merged payload, and
-// a copy pass fills it using the offset array as write cursors (shifted
-// back into place afterwards). Entry ids stay ascending within each
-// vertex segment because old postings precede new ones and new entries
-// are absorbed in ascending local id order — the invariant the
-// truncated-view binary search (postPrefix) relies on.
+// posting append per member). Counting sort over one offset array: a
+// pass counts per-vertex additions, a second folds in the old counts and
+// totals what rows would save, a classification pass turns the merged
+// counts into sparse segment starts (row vertices are marked by a
+// negative row number instead), a copy pass moves the old index into the
+// new layout, and a fill pass appends the new entries, using the offsets
+// as write cursors that are shifted back into the CSR index afterwards.
+// Sparse entry ids stay ascending within each segment because old
+// postings precede new ones and new entries are absorbed in ascending
+// local id order. Callers must relink the pool's row ranks afterwards
+// (shardedPool.linkRows).
 func (s *poolShard) extend(n int32) (members int64) {
 	if s.indexed == len(s.sets) {
 		if s.covered == nil {
@@ -99,6 +169,8 @@ func (s *poolShard) extend(n int32) (members int64) {
 		return 0
 	}
 	nn := int(n)
+	entries := len(s.sets)
+	words := rowWords(entries)
 	off := make([]int32, nn+1)
 	count := func(v int32) { off[v+1]++ } // hoisted: one closure per pass, not per set
 	for j := s.indexed; j < len(s.sets); j++ {
@@ -106,39 +178,101 @@ func (s *poolShard) extend(n int32) (members int64) {
 		set.ForEach(count)
 		members += int64(set.Size())
 	}
-	// Turn counts into merged segment starts: off[v+1] becomes
-	// start(v+1) = start(v) + oldLen(v) + newCount(v).
-	if s.postIdx == nil {
-		for v := 0; v < nn; v++ {
-			off[v+1] += off[v]
+
+	// Fold the old counts in, so off[v+1] becomes v's merged count, and
+	// add up what rows would save. The old rowVerts ascend like v, so a
+	// cursor finds the old rows.
+	least := rowMin(entries)
+	var saved int64
+	oldRow := 0
+	for v := 0; v < nn; v++ {
+		if oldRow < len(s.rowVerts) && int(s.rowVerts[oldRow]) == v {
+			off[v+1] += s.rowCnt[oldRow]
+			oldRow++
+		} else if s.postIdx != nil {
+			off[v+1] += s.postIdx[v+1] - s.postIdx[v]
 		}
-	} else {
-		for v := 0; v < nn; v++ {
-			off[v+1] += off[v] + (s.postIdx[v+1] - s.postIdx[v])
-		}
-	}
-	data := make([]int32, off[nn])
-	// Fill, advancing off[v] as the segment-v write cursor: old postings
-	// first, then the new entries in ascending id order.
-	if s.postIdx != nil {
-		for v := 0; v < nn; v++ {
-			seg := s.postData[s.postIdx[v]:s.postIdx[v+1]]
-			copy(data[off[v]:], seg)
-			off[v] += int32(len(seg))
+		if c := off[v+1]; c >= least {
+			saved += rowSaving(c, entries)
 		}
 	}
+	rowsOn := rowsPay(saved, s.postCount+members)
+
+	// Classify every vertex on its merged count. off[v+1] holds v's
+	// count until iteration v rewrites off[v] (whose count was consumed
+	// the iteration before) with v's sparse segment start, or with -(r+1)
+	// for the r-th row vertex.
+	var rowVerts, rowCnt []int32
+	var sparse int32
+	for v := 0; v < nn; v++ {
+		c := off[v+1]
+		if rowsOn && c >= least {
+			rowVerts = append(rowVerts, int32(v))
+			rowCnt = append(rowCnt, c)
+			off[v] = -int32(len(rowVerts))
+		} else {
+			off[v] = sparse
+			sparse += c
+		}
+	}
+	off[nn] = sparse
+	data := make([]int32, sparse)
+	rows := make([]uint64, len(rowVerts)*words)
+
+	// Move the old index into the new layout: rows widen by copy or fold
+	// into postings; postings become row bits or copy across.
+	oldRow = 0
+	for v := 0; v < nn; v++ {
+		var row []uint64
+		var seg []int32
+		if oldRow < len(s.rowVerts) && int(s.rowVerts[oldRow]) == v {
+			row = s.row(oldRow)
+			oldRow++
+		} else {
+			seg = s.postings(int32(v))
+		}
+		if o := off[v]; o < 0 {
+			dst := rows[int(-o-1)*words:]
+			copy(dst, row)
+			for _, j := range seg {
+				dst[j>>6] |= 1 << uint(j&63)
+			}
+			continue
+		}
+		off[v] += int32(len(appendRowEntries(data[off[v]:off[v]], row)))
+		off[v] += int32(copy(data[off[v]:], seg))
+	}
+
 	var jj int32
-	fill := func(v int32) { data[off[v]] = jj; off[v]++ }
+	fill := func(v int32) {
+		if o := off[v]; o < 0 {
+			rows[int(-o-1)*words+int(jj>>6)] |= 1 << uint(jj&63)
+		} else {
+			data[o] = jj
+			off[v] = o + 1
+		}
+	}
 	for j := s.indexed; j < len(s.sets); j++ {
 		jj = int32(j)
 		s.sets[j].ForEach(fill)
 	}
-	// Each cursor now sits at its segment's end == the next segment's
-	// start; shift right to recover the CSR index in place.
+	// Each sparse cursor now sits at its segment's end; a row vertex's
+	// (empty) segment ends where the previous one does. Restore those,
+	// then shift right to recover the CSR index in place.
+	var last int32
+	for v := 0; v < nn; v++ {
+		if off[v] < 0 {
+			off[v] = last
+		} else {
+			last = off[v]
+		}
+	}
 	copy(off[1:], off[:nn])
 	off[0] = 0
 	s.postIdx, s.postData = off, data
+	s.rowVerts, s.rowCnt, s.rows = rowVerts, rowCnt, rows
 	s.postCount += members
+	s.indexBytes = 4*int64(len(data)) + 8*int64(len(rows))
 	s.indexed = len(s.sets)
 	if s.covered == nil {
 		s.covered = bitset.New(s.indexed)
@@ -146,6 +280,138 @@ func (s *poolShard) extend(n int32) (members int64) {
 		s.covered.Grow(s.indexed)
 	}
 	return members
+}
+
+// adoptPostings installs a full postings CSR (every vertex's entries,
+// as a snapshot stores them) as the shard's index over all its entries,
+// aliasing idx and data, and builds heap rows for the vertices rowMin
+// selects. Postings are range-checked only where rows are built; the
+// snapshot reader validates the rest.
+func (s *poolShard) adoptPostings(n int32, idx, data []int32) error {
+	entries := len(s.sets)
+	if len(idx) != int(n)+1 || idx[0] != 0 || int(idx[n]) != len(data) {
+		return fmt.Errorf("%w: index offsets do not frame %d postings", ErrPoolIncompatible, len(data))
+	}
+	least := rowMin(entries)
+	var saved int64
+	prev := idx[0]
+	for v, next := range idx[1:] {
+		if c := next - prev; c >= least {
+			saved += rowSaving(c, entries)
+		} else if c < 0 {
+			return fmt.Errorf("%w: index offsets decrease at vertex %d", ErrPoolIncompatible, v)
+		}
+		prev = next
+	}
+	var rowVerts, rowCnt []int32
+	sparse := int64(len(data))
+	if rowsPay(saved, sparse) {
+		for v := int32(0); v < n; v++ {
+			if c := idx[v+1] - idx[v]; c >= least {
+				rowVerts = append(rowVerts, v)
+				rowCnt = append(rowCnt, c)
+				sparse -= int64(c)
+			}
+		}
+	}
+	words := rowWords(entries)
+	rows := make([]uint64, len(rowVerts)*words)
+	for r, v := range rowVerts {
+		dst := rows[r*words : (r+1)*words]
+		for _, j := range data[idx[v]:idx[v+1]] {
+			if j < 0 || int(j) >= entries {
+				return fmt.Errorf("%w: posting %d outside %d entries", ErrPoolIncompatible, j, entries)
+			}
+			dst[j>>6] |= 1 << uint(j&63)
+		}
+	}
+	s.postIdx, s.postData = idx, data
+	s.rowVerts, s.rowCnt, s.rows = rowVerts, rowCnt, rows
+	s.postCount = int64(len(data))
+	s.indexBytes = 4*sparse + 8*int64(len(rows))
+	s.indexed = entries
+	return nil
+}
+
+// fullPostings returns the shard's index as a full postings CSR, row
+// vertices included — the layout the .impool format stores. A shard
+// without rows (or a thawed one, whose aliased postings are already
+// full) returns its own arrays; otherwise the CSR is rebuilt.
+func (s *poolShard) fullPostings(n int32) (idx, data []int32) {
+	if len(s.rowVerts) == 0 || int64(len(s.postData)) == s.postCount {
+		return s.postIdx, s.postData
+	}
+	idx = make([]int32, n+1)
+	data = make([]int32, 0, s.postCount)
+	r := 0
+	for v := int32(0); v < n; v++ {
+		idx[v] = int32(len(data))
+		if r < len(s.rowVerts) && s.rowVerts[r] == v {
+			data = appendRowEntries(data, s.row(r))
+			r++
+			continue
+		}
+		data = append(data, s.postings(v)...)
+	}
+	idx[n] = int32(len(data))
+	return idx, data
+}
+
+// appendRowEntries appends the entry ids of row's set bits to dst,
+// ascending.
+func appendRowEntries(dst []int32, row []uint64) []int32 {
+	for wi, w := range row {
+		for w != 0 {
+			dst = append(dst, int32(wi*64+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
+// rowPrefix counts row's set bits below lim: a row vertex's occurrence
+// count within a truncated view, as postPrefix is a sparse vertex's.
+func rowPrefix(row []uint64, lim int) int64 {
+	full := lim >> 6
+	var c int
+	for _, w := range row[:full] {
+		c += bits.OnesCount64(w)
+	}
+	if r := uint(lim & 63); r != 0 {
+		c += bits.OnesCount64(row[full] & (1<<r - 1))
+	}
+	return int64(c)
+}
+
+// indexBytesBelow returns what the shard's index would cost holding
+// only its first lim entries (lim <= indexed): what a cold shard of that
+// size reports. Only vertices at or above the row threshold over the
+// whole shard can be rows at lim, which keeps the scan O(n) plus one
+// prefix count per candidate (every row vertex, on a shard with rows).
+func (s *poolShard) indexBytesBelow(p *shardedPool, lim int) int64 {
+	if lim == s.indexed {
+		return s.indexBytes
+	}
+	var members, saved int64
+	for _, set := range s.sets[:lim] {
+		members += int64(set.Size())
+	}
+	least := rowMin(lim)
+	for v := int32(0); v < p.n; v++ {
+		var c int32
+		if row := s.rowOf(p.rank(v)); row != nil {
+			c = int32(rowPrefix(row, lim))
+		} else if post := s.postings(v); int32(len(post)) >= least {
+			c = int32(postPrefix(post, int32(lim)))
+		}
+		if c >= least {
+			saved += rowSaving(c, lim)
+		}
+	}
+	if rowsPay(saved, members) {
+		return 4*members - saved
+	}
+	return 4 * members
 }
 
 // shardedPool is the Efficient engine's pool: grow/put during
@@ -174,6 +440,15 @@ type shardedPool struct {
 	// the same one-query-at-a-time serialization as selection.
 	gainScratch    []int64
 	versionScratch []int32
+	// rowRank numbers the vertices that hold a bit row in at least one
+	// shard (-1 for the rest; nil while no shard has rows). Each shard's
+	// rowAt is indexed by it, so finding a vertex's row in every shard is
+	// one lookup here plus one per shard. Rebuilt by linkRows.
+	rowRank []int32
+	// indexBytes memoizes indexBytesBelow summed over shards per
+	// truncated view limit: a warm pool answers the same few θ prefixes
+	// again and again. Cleared whenever any shard's index changes.
+	indexBytes map[int64]int64
 }
 
 func newShardedPool(n int32) *shardedPool { return &shardedPool{n: n} }
@@ -189,6 +464,64 @@ func localLimit(s int, limit int64) int {
 		return 0
 	}
 	return int((limit-1-int64(s))/poolShards) + 1
+}
+
+// rank returns v's pool-level row rank, or -1 when no shard holds a row
+// for v.
+func (p *shardedPool) rank(v int32) int32 {
+	if p.rowRank == nil {
+		return -1
+	}
+	return p.rowRank[v]
+}
+
+// linkRows rebuilds rowRank and every shard's rowAt from the shards'
+// rowVerts. Every pass that extends, rebuilds or adopts a shard index
+// calls it before selection reads the index again.
+func (p *shardedPool) linkRows() {
+	p.indexBytes = nil
+	total := 0
+	for s := range p.shards {
+		total += len(p.shards[s].rowVerts)
+	}
+	if total == 0 {
+		p.rowRank = nil
+		for s := range p.shards {
+			p.shards[s].rowAt = nil
+		}
+		return
+	}
+	if len(p.rowRank) != int(p.n) {
+		p.rowRank = make([]int32, p.n)
+	}
+	clear(p.rowRank)
+	for s := range p.shards {
+		for _, v := range p.shards[s].rowVerts {
+			p.rowRank[v] = 1
+		}
+	}
+	var d int32
+	for v, hit := range p.rowRank {
+		if hit == 0 {
+			p.rowRank[v] = -1
+			continue
+		}
+		p.rowRank[v] = d
+		d++
+	}
+	for s := range p.shards {
+		sh := &p.shards[s]
+		if cap(sh.rowAt) < int(d) {
+			sh.rowAt = make([]int32, d)
+		}
+		sh.rowAt = sh.rowAt[:d]
+		for i := range sh.rowAt {
+			sh.rowAt[i] = -1
+		}
+		for r, v := range sh.rowVerts {
+			sh.rowAt[p.rowRank[v]] = int32(r)
+		}
+	}
 }
 
 func (p *shardedPool) vertexCount() int32 { return p.n }
@@ -237,11 +570,20 @@ func (p *shardedPool) addMembers(perWorker []int64) {
 // charges the decode-and-append work (2 ops per member) to the
 // executing workers. Idempotent and cheap when nothing is new.
 func (p *shardedPool) ensureIndexed(workers int, ops []int64) {
+	stale := false
+	for s := range p.shards {
+		sh := &p.shards[s]
+		stale = stale || sh.indexed < len(sh.sets) || sh.covered == nil
+	}
+	if !stale {
+		return
+	}
 	sched.Static(workers, poolShards, func(w, s0, s1 int) {
 		for s := s0; s < s1; s++ {
 			ops[w] += 2 * p.shards[s].extend(p.n)
 		}
 	})
+	p.linkRows()
 }
 
 // stats summarizes the pool in one walk over the shards.
@@ -304,11 +646,10 @@ func (p *shardedPool) bytesUpTo(limit int64) int64 {
 func (p *shardedPool) footprint() PoolFootprint {
 	f := PoolFootprint{SetBytes: p.bytesUpTo(p.count)}
 	for s := range p.shards {
-		// Postings payload: 4 bytes per member. The index really is CSR
-		// now (postIdx/postData); the n+1 offset array is a fixed
-		// per-shard overhead excluded here so the figure stays
-		// comparable across pool sizes.
-		f.IndexBytes += 4 * p.shards[s].postCount
+		// Postings and row payloads. The n+1 offset array is a fixed
+		// per-shard overhead excluded here so the figure stays comparable
+		// across pool sizes.
+		f.IndexBytes += p.shards[s].indexBytes
 	}
 	f.RawBytes = 4 * p.totalMembers
 	return f
@@ -316,23 +657,44 @@ func (p *shardedPool) footprint() PoolFootprint {
 
 // footprintUpTo reports the footprint of the truncated view over global
 // set ids below limit, as a cold pool of that size would have reported
-// it after a CELF selection (index fully built over the view).
+// it after a CELF selection (index fully built over the view, rows
+// classified at the view's shard sizes).
 func (p *shardedPool) footprintUpTo(limit int64) PoolFootprint {
 	if limit >= p.count {
 		return p.footprint()
 	}
 	f := PoolFootprint{SetBytes: p.bytesUpTo(limit)}
 	members := p.membersUpTo(limit)
+	f.RawBytes = 4 * members
 	// Charge index bytes only when selection actually built the inverted
 	// view (a scan-mode pool never does and reports IndexBytes 0, the
 	// same trade-off the full footprint reports).
+	indexed := false
 	for s := range p.shards {
-		if p.shards[s].indexed > 0 {
-			f.IndexBytes = 4 * members
+		indexed = indexed || p.shards[s].indexed > 0
+	}
+	if !indexed {
+		return f
+	}
+	for s := range p.shards {
+		if p.shards[s].indexed < localLimit(s, limit) {
+			// The view outgrew the index (no selection since the pool
+			// grew): absorb the new sets first, as that selection would.
+			p.ensureIndexed(1, make([]int64, 1))
 			break
 		}
 	}
-	f.RawBytes = 4 * members
+	index, ok := p.indexBytes[limit]
+	if !ok {
+		for s := range p.shards {
+			index += p.shards[s].indexBytesBelow(p, localLimit(s, limit))
+		}
+		if p.indexBytes == nil {
+			p.indexBytes = make(map[int64]int64)
+		}
+		p.indexBytes[limit] = index
+	}
+	f.IndexBytes = index
 	return f
 }
 

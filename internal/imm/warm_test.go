@@ -308,3 +308,35 @@ func TestNewWarmEngineRejectsRipples(t *testing.T) {
 		t.Fatal("NewWarmEngine accepted the Ripples engine")
 	}
 }
+
+// TestWarmAnswerAllocationCeiling pins the cost of a warm answer: once
+// the pool covers every member of a batch, answering allocates at most
+// 1,000 objects per member — selection works on retained scratch and
+// runs its per-candidate passes inline, with no per-call fork/join.
+func TestWarmAnswerAllocationCeiling(t *testing.T) {
+	g := testGraph(t, 9, graph.IC)
+	for _, workers := range []int{1, 4} {
+		opt := Defaults()
+		opt.Workers = workers
+		opt.Seed = 7
+		opt.MaxTheta = 8000
+		we, err := NewWarmEngine(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := []BatchQuery{{K: 10, Epsilon: 0.5}, {K: 25, Epsilon: 0.3}, {K: 50, Epsilon: 0.5}}
+		if _, err := we.AnswerBatch(opt, batch); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := we.AnswerBatch(opt, batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perAnswer := allocs / float64(len(batch)); perAnswer > 1000 {
+			t.Fatalf("workers=%d: %.0f allocations per warm answer, want <= 1000", workers, perAnswer)
+		} else {
+			t.Logf("workers=%d: %.0f allocations per warm answer", workers, perAnswer)
+		}
+	}
+}

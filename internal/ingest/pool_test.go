@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -379,4 +381,24 @@ func FuzzPoolSnapshotRoundTrip(f *testing.F) {
 			t.Fatal("round trip changed the pool state")
 		}
 	})
+}
+
+// TestPoolSnapshotWriteAllocatesBySize pins the writer's buffer sizing:
+// a pool snapshot has 129 sections, most of them small or empty, and
+// encoding each one must not allocate a full chunk, or writing even a
+// small pool costs 129 × 2 × 64 KiB of garbage.
+func TestPoolSnapshotWriteAllocatesBySize(t *testing.T) {
+	_, _, st := poolFixture(t, imm.PoolSlices, true, 0)
+	size := PoolSnapshotSize(st)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := WritePoolSnapshot(io.Discard, st); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// The bufio writer's chunk plus at most one encode buffer of the
+	// file's size per pass (CRC, then write).
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(snapChunk+2*size+64<<10); alloc > limit {
+		t.Fatalf("writing a %d-byte snapshot allocated %d bytes, want <= %d", size, alloc, limit)
+	}
 }

@@ -213,6 +213,14 @@ func snapPayloads(g *graph.Graph) [snapSectionN]payload {
 	}
 }
 
+// chunkBuf returns the encode buffer for the payload's typed slices:
+// one chunk, or less when the slices encode to less, so the many small
+// or empty sections of a pool snapshot do not each allocate a full chunk.
+func (p payload) chunkBuf() []byte {
+	n := 8*len(p.i64) + 4*len(p.i32) + 4*len(p.f32) + 8*len(p.u64)
+	return make([]byte, 0, min(n, snapChunk))
+}
+
 // writeTo streams the payload's typed slices. Its bytes ARE checksum
 // covered: payload.crc() below re-derives the identical byte stream to
 // compute the section CRC recorded in the table, so the checksum pairs
@@ -220,7 +228,7 @@ func snapPayloads(g *graph.Graph) [snapSectionN]payload {
 //
 //imlint:ignore endian section CRC computed by the parallel payload.crc over the identical byte stream
 func (p payload) writeTo(w io.Writer) error {
-	buf := make([]byte, 0, snapChunk)
+	buf := p.chunkBuf()
 	flush := func(force bool) error {
 		if len(buf) >= snapChunk-8 || (force && len(buf) > 0) {
 			if _, err := w.Write(buf); err != nil {
@@ -266,7 +274,7 @@ func (p payload) writeTo(w io.Writer) error {
 }
 
 func (p payload) crc() uint32 {
-	buf := make([]byte, 0, snapChunk)
+	buf := p.chunkBuf()
 	crc := uint32(0)
 	flush := func() {
 		if len(buf) >= snapChunk-8 {

@@ -28,6 +28,13 @@ func Static(p, n int, fn func(worker, start, end int)) {
 	if p > n {
 		p = n
 	}
+	if p == 1 {
+		// One worker: run on the caller's goroutine. A spawn plus a
+		// WaitGroup round trip per call is pure overhead here, and the
+		// Workers=1 path is the speedup baseline everything is compared to.
+		fn(0, 0, n)
+		return
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
 		start := w * n / p
@@ -57,6 +64,25 @@ func Dynamic(p, n, chunk int, fn func(worker, start, end int)) {
 	if n <= 0 {
 		return
 	}
+	if chunks := (n + chunk - 1) / chunk; p > chunks {
+		p = chunks // a worker beyond the chunk count would find nothing
+	}
+	if p == 1 {
+		// Same chunks, same order a lone worker would claim them in, but
+		// on the caller's goroutine.
+		for start := 0; start < n; start += chunk {
+			fn(0, start, min(start+chunk, n))
+		}
+		return
+	}
+	dynamicSpawn(p, n, chunk, fn)
+}
+
+// dynamicSpawn is Dynamic's multi-worker body. It is a separate function
+// so the goroutines' captures escape only on this path: a captured
+// parameter that Dynamic reassigns would otherwise be moved to the heap
+// on every call, the inline one included.
+func dynamicSpawn(p, n, chunk int, fn func(worker, start, end int)) {
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {

@@ -233,3 +233,28 @@ func TestWorkStealingZeroJobs(t *testing.T) {
 		t.Fatalf("executed slice len %d", len(executed))
 	}
 }
+
+// TestSingleWorkerRunsInline pins the one-worker fast path: once the
+// worker count clamps to 1, Static and Dynamic call fn on the caller's
+// goroutine, so a call allocates nothing (no goroutine, no WaitGroup).
+func TestSingleWorkerRunsInline(t *testing.T) {
+	var sum int
+	fn := func(_, s, e int) { sum += e - s }
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"Static p=1", func() { Static(1, 1000, fn) }},
+		{"Static n=1", func() { Static(8, 1, fn) }},
+		{"Dynamic p=1", func() { Dynamic(1, 1000, 64, fn) }},
+		{"Dynamic one chunk", func() { Dynamic(8, 50, 64, fn) }},
+	}
+	for _, c := range cases {
+		if allocs := testing.AllocsPerRun(100, c.run); allocs != 0 {
+			t.Fatalf("%s: %v allocs per call, want 0", c.name, allocs)
+		}
+	}
+	if sum == 0 {
+		t.Fatal("fn never ran")
+	}
+}
